@@ -12,7 +12,10 @@
  *  1. Byte identity — every golden scenario captured at the seed
  *     commit (tests/golden/) is re-simulated in-process and the
  *     --stats-json and --trace artifacts are hashed against
- *     MANIFEST.sha256.
+ *     MANIFEST.sha256. A second set pins the observer outputs the
+ *     first one does not cover: task,steal,flow traces, --lifecycle
+ *     stats documents with their btprof reports, and per-cluster
+ *     --timeseries CSVs under hierarchical stealing.
  *  2. Ordering invariants — the timing-wheel event queue must run
  *     same-cycle events in schedule order even when handlers schedule
  *     more events for the current cycle, and overflow events that
@@ -25,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -125,6 +129,94 @@ runScenario(const Scenario &sc, std::string &stats_json,
     trace_json = tr.str();
 }
 
+/**
+ * Observer scenarios: one run with every task-event observer on,
+ * reproducing `btsim --trace=<name>.flow.trace.json
+ * --trace-categories=task,steal,flow --lifecycle
+ * --stats-json=<name>.lifecycle.stats.json [--steal=...]
+ * [--timeseries=<name>.timeseries.csv --sample-cycles=N]` followed by
+ * `btprof <name>.lifecycle.stats.json > <name>.lifecycle.btprof.txt`
+ * in the artifacts' directory. The three cover the DTS, Baseline and
+ * Hcc scheduler variants; the clustered two batch-steal (hier).
+ */
+struct ObserverScenario
+{
+    const char *name;
+    const char *app;
+    const char *config;
+    int64_t n;
+    int64_t grain;
+    const char *steal;   //!< steal policy, "" for the default
+    Cycle sampleCycles;  //!< 0: no time series
+};
+
+const ObserverScenario kObserverScenarios[] = {
+    {"cilk5_nq_bt_hcc_gwb_dts", "cilk5-nq", "bt-hcc-gwb-dts", 7, 2, "",
+     0},
+    {"cilk5_nq_mesi_2x2_hier", "cilk5-nq",
+     "bt-0b64t@8x8/clusters=2x2/proto=mesi", 8, 2, "hier", 2000},
+    {"ligra_bfs_gwb_2x2_hier", "ligra-bfs",
+     "bt-0b64t@8x8/clusters=2x2/proto=gwb", 512, 16, "hier", 2000},
+};
+
+/** Artifact name -> contents for one observer scenario. */
+std::map<std::string, std::string>
+runObserverScenario(const ObserverScenario &sc)
+{
+    bench::RunSpec spec = bench::RunSpec::forApp(sc.app)
+                              .config(sc.config)
+                              .n(sc.n)
+                              .grain(sc.grain);
+    sim::SystemConfig cfg = sim::configByName(spec.configName);
+    cfg.traceCategories = trace::parseCategories("task,steal,flow");
+    cfg.trackLifecycle = true;
+    cfg.sampleCycles = sc.sampleCycles;
+
+    sim::System sys(cfg);
+    auto app = apps::makeApp(spec.app, spec.params);
+    app->setup(sys);
+    rt::Runtime runtime(sys);
+    if (*sc.steal)
+        runtime.setStealPolicy(sc.steal);
+    runtime.run([&](rt::Worker &w) { app->runParallel(w); });
+    sys.mem().drainAll();
+    bool valid = app->validate(sys);
+
+    std::map<std::string, std::string> out;
+    const std::string base = sc.name;
+    std::ostringstream stats, tr;
+    trace::writeRunStatsJson(stats, sys, &runtime, valid, nullptr);
+    out[base + ".lifecycle.stats.json"] = stats.str();
+    sys.tracer()->writeJson(tr);
+    out[base + ".flow.trace.json"] = tr.str();
+    if (sys.sampler()) {
+        std::ostringstream ts;
+        sys.sampler()->writeCsv(ts);
+        out[base + ".timeseries.csv"] = ts.str();
+    }
+
+    // btprof prints the path it was given, so run it on a bare file
+    // name from inside the directory holding the document.
+    const std::string doc = base + ".lifecycle.stats.json";
+    {
+        std::ofstream f(testing::TempDir() + doc, std::ios::binary);
+        f << out[doc];
+    }
+    std::string cmd = "cd '" + testing::TempDir() + "' && '" +
+                      BIGTINY_BTPROF + "' '" + doc + "'";
+    std::string report;
+    if (FILE *p = ::popen(cmd.c_str(), "r")) {
+        char buf[4096];
+        size_t got;
+        while ((got = std::fread(buf, 1, sizeof buf, p)) > 0)
+            report.append(buf, got);
+        EXPECT_EQ(::pclose(p), 0) << cmd;
+    }
+    std::remove((testing::TempDir() + doc).c_str());
+    out[base + ".lifecycle.btprof.txt"] = report;
+    return out;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -134,7 +226,7 @@ runScenario(const Scenario &sc, std::string &stats_json,
 TEST(HotpathFidelity, AllGoldenScenariosByteIdentical)
 {
     auto manifest = loadManifest();
-    ASSERT_EQ(manifest.size(), 24u)
+    ASSERT_EQ(manifest.size(), 35u)
         << "tests/golden/MANIFEST.sha256 missing or truncated";
 
     for (const auto &sc : kScenarios) {
@@ -155,6 +247,23 @@ TEST(HotpathFidelity, AllGoldenScenariosByteIdentical)
         EXPECT_EQ(common::sha256Hex(trace_json), manifest[trace_name])
             << "trace artifact diverged from the seed golden";
     }
+}
+
+TEST(HotpathFidelity, ObserverArtifactsByteIdentical)
+{
+    auto manifest = loadManifest();
+    size_t checked = 0;
+    for (const auto &sc : kObserverScenarios) {
+        SCOPED_TRACE(sc.name);
+        for (const auto &[name, bytes] : runObserverScenario(sc)) {
+            SCOPED_TRACE(name);
+            ASSERT_TRUE(manifest.count(name));
+            EXPECT_EQ(common::sha256Hex(bytes), manifest[name])
+                << "observer artifact diverged from its golden";
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, 11u);
 }
 
 // Determinism of the in-process harness itself: the same scenario
