@@ -17,7 +17,8 @@
  *     and every joined child's completion path.
  *
  * All bookkeeping is host-side (no simulated cost), mirroring how
- * Cilkview instruments a native binary without perturbing it.
+ * Cilkview instruments a native binary without perturbing it. It is
+ * always on, fed by rt::Runtime's task-event fan-out and Worker::accrue.
  */
 
 #ifndef BIGTINY_CORE_DAG_PROFILER_HH
@@ -43,8 +44,6 @@ class DagProfiler
     Idx
     newTask(Idx parent)
     {
-        if (!enabled)
-            return none;
         Entry e;
         e.parent = parent;
         e.spawnPos = parent == none ? 0 : entries[parent].ownPos;
@@ -56,7 +55,7 @@ class DagProfiler
     void
     accrue(Idx idx, uint64_t insts)
     {
-        if (idx == none || !enabled)
+        if (idx == none)
             return;
         entries[idx].ownPos += insts;
         totalWork += insts;
@@ -66,7 +65,7 @@ class DagProfiler
     void
     onTaskDone(Idx idx)
     {
-        if (idx == none || !enabled)
+        if (idx == none)
             return;
         Entry &e = entries[idx];
         if (e.parent != none) {
@@ -84,7 +83,7 @@ class DagProfiler
     void
     onWaitExit(Idx idx)
     {
-        if (idx == none || !enabled)
+        if (idx == none)
             return;
         Entry &e = entries[idx];
         if (e.maxChildPath > e.ownPos) {
@@ -158,8 +157,6 @@ class DagProfiler
         return tasksDone ? static_cast<double>(totalWork) / tasksDone
                          : 0.0;
     }
-
-    bool enabled = true;
 
   private:
     struct Entry

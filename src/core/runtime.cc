@@ -38,7 +38,8 @@ Runtime::defaultVariant(const sim::SystemConfig &cfg)
 }
 
 Runtime::Runtime(sim::System &sys, SchedVariant variant)
-    : variant(variant), sys(sys), cfg(sys.config())
+    : variant(variant), sys(sys), cfg(sys.config()),
+      eventTracer(sys.tracer()), intervalSampler(sys.sampler())
 {
     auto &arena = sys.arena();
     int n = sys.numCores();
@@ -54,35 +55,15 @@ Runtime::Runtime(sim::System &sys, SchedVariant variant)
         workers.push_back(
             std::make_unique<Worker>(*this, sys.core(w), w));
     policy = std::make_unique<RandomSteal>();
-    if (cfg.trackLifecycle) {
-        std::vector<int> cl(static_cast<size_t>(n));
-        for (int w = 0; w < n; ++w)
-            cl[static_cast<size_t>(w)] = cfg.clusterOf(w);
-        lifeTracker = std::make_unique<trace::LifecycleTracker>(
-            cfg.numClusters(), std::move(cl));
-    }
-    // Per-cluster steal columns for the interval sampler: attempts
-    // and successes attributed to the thief's cluster. Reading worker
-    // stats is host-side, so sampling cannot perturb the model.
-    sys.stealSampleHook = [this](std::vector<uint64_t> &att,
-                                 std::vector<uint64_t> &ok) {
-        size_t ncl = static_cast<size_t>(cfg.numClusters());
-        att.assign(ncl, 0);
-        ok.assign(ncl, 0);
-        for (int w = 0; w < numWorkers(); ++w) {
-            const auto &ws = workers[static_cast<size_t>(w)]->stats;
-            auto cl = static_cast<size_t>(cfg.clusterOf(w));
-            att[cl] += ws.stealAttempts;
-            ok[cl] += ws.stealAttempts - ws.failedSteals;
-        }
-    };
+    if (cfg.trackLifecycle)
+        lifeTracker =
+            std::make_unique<trace::LifecycleTracker>(cfg.numClusters());
+    if (intervalSampler) // per-cluster steal columns
+        intervalSampler->trackStealClusters(cfg.numClusters());
 }
 
-Runtime::~Runtime()
-{
-    // The hook captures this; the System usually outlives us.
-    sys.stealSampleHook = nullptr;
-}
+// Out of line: Worker and StealPolicy are incomplete in the header.
+Runtime::~Runtime() = default;
 
 void
 Runtime::setStealPolicy(std::unique_ptr<StealPolicy> p)
@@ -149,6 +130,87 @@ Runtime::totalStats() const
     for (const auto &w : workers)
         agg.add(w->stats);
     return agg;
+}
+
+Runtime::Span::~Span()
+{
+    bool steal = cat == trace::CatSteal;
+    if (open && BT_TRACE_ON(rt.eventTracer, cat)) {
+        Cycle now = rt.sys.core(wid).now();
+        if (steal)
+            rt.eventTracer->complete(cat, wid, t0, now, "steal",
+                                     "victim", arg, "got", got);
+        else
+            rt.eventTracer->complete(cat, wid, t0, now, "task", "frame",
+                                     arg);
+    }
+    if (steal && !got && rt.intervalSampler)
+        rt.intervalSampler->stealFailed(rt.cfg.clusterOf(wid));
+}
+
+void
+Runtime::taskEnqueued(Addr t, int wid)
+{
+    Cycle now = sys.core(wid).now();
+    if (BT_TRACE_ON(eventTracer, trace::CatTask))
+        eventTracer->instant(trace::CatTask, wid, now, "spawn", "frame",
+                             t);
+    if (BT_TRACE_ON(eventTracer, trace::CatFlow))
+        eventTracer->flow(trace::CatFlow, wid, now, 's', "task-flow", t);
+    if (lifeTracker)
+        lifeTracker->onEnqueue(taskIndex(t), now);
+    dequeDepth(wid, now);
+}
+
+Runtime::Span
+Runtime::stealAttempted(int wid)
+{
+    if (intervalSampler)
+        intervalSampler->stealAttempted(cfg.clusterOf(wid));
+    return Span(*this, wid, trace::CatSteal, false, 0);
+}
+
+void
+Runtime::taskStolen(Span &steal, Addr t, const std::vector<Addr> &extras)
+{
+    steal.got = true;
+    int src = cfg.clusterOf(static_cast<CoreId>(steal.arg));
+    int dst = cfg.clusterOf(steal.wid);
+    Cycle now = sys.core(steal.wid).now();
+    auto stolen = [&](Addr task) {
+        if (lifeTracker)
+            lifeTracker->onSteal(src, dst);
+        if (BT_TRACE_ON(eventTracer, trace::CatFlow))
+            eventTracer->flow(trace::CatFlow, steal.wid, now, 't',
+                              "task-flow", task);
+    };
+    stolen(t);
+    for (Addr e : extras)
+        stolen(e);
+}
+
+Runtime::Span
+Runtime::taskStarted(Addr t, DagProfiler::Idx idx, int wid,
+                     bool dispatched)
+{
+    Cycle now = sys.core(wid).now();
+    if (dispatched && BT_TRACE_ON(eventTracer, trace::CatFlow))
+        eventTracer->flow(trace::CatFlow, wid, now, 'f', "task-flow", t);
+    if (lifeTracker)
+        lifeTracker->onStart(idx, now);
+    return Span(*this, wid, trace::CatTask, dispatched, t);
+}
+
+void
+Runtime::dequeDepth(int owner, Cycle now)
+{
+    if (!BT_TRACE_ON(eventTracer, trace::CatTask))
+        return;
+    TaskDeque &q = deque(owner);
+    auto head = sys.mem().funcRead<uint64_t>(q.headAddr());
+    auto tail = sys.mem().funcRead<uint64_t>(q.tailAddr());
+    eventTracer->counter(trace::CatTask, owner, now, "deque-depth",
+                         tail - head);
 }
 
 } // namespace bigtiny::rt

@@ -113,11 +113,101 @@ class Runtime
 
     /**
      * Task-lifecycle tracker (DESIGN.md §16); non-null only when
-     * SystemConfig::trackLifecycle is set. Call sites guard with
-     * BT_LIFE_ON — a null check, same zero-cost discipline as
-     * BT_TRACE_ON.
+     * SystemConfig::trackLifecycle is set.
      */
     trace::LifecycleTracker *lifecycle() { return lifeTracker.get(); }
+
+    // --- Task-event fan-out (DESIGN.md §9) ---------------------------
+    // Each instrumentation site in worker.cc makes one of these calls.
+    // They drive the DagProfiler, and behind one null check each the
+    // lifecycle tracker, tracer and sampler. Host-side only.
+
+    /**
+     * A task or steal-attempt trace span, emitted on destruction —
+     * also during FiberUnwind, so a steal span closes after the span
+     * of the task it stole. A steal attempt's Span also counts a
+     * failure for the sampler unless taskStolen ran.
+     */
+    class Span
+    {
+      public:
+        ~Span();
+        Span(const Span &) = delete;
+        Span &operator=(const Span &) = delete;
+
+        /** The steal attempt chose @p victim: its span starts now. */
+        void
+        chose(int victim)
+        {
+            open = true;
+            arg = static_cast<uint64_t>(victim);
+            t0 = rt.sys.core(wid).now();
+        }
+
+      private:
+        friend class Runtime;
+        Span(Runtime &rt, int wid, uint32_t cat, bool open, uint64_t arg)
+            : rt(rt), wid(wid), cat(cat), open(open), arg(arg),
+              t0(rt.sys.core(wid).now())
+        {}
+
+        Runtime &rt;
+        int wid;
+        uint32_t cat;     //!< trace::CatTask or trace::CatSteal
+        bool open;        //!< has a span (not the root, not victimless)
+        bool got = false; //!< the steal attempt took a task
+        uint64_t arg;     //!< task frame, or steal victim
+        Cycle t0;
+    };
+
+    /** A task is created under @p parent; returns its profiler
+     *  index, which is also its lifecycle record index. */
+    DagProfiler::Idx
+    taskCreated(DagProfiler::Idx parent)
+    {
+        if (lifeTracker)
+            lifeTracker->onCreate();
+        return profiler.newTask(parent);
+    }
+
+    /** Worker @p wid spawned frame @p t onto its own deque. */
+    void taskEnqueued(Addr t, int wid);
+
+    /** Worker @p wid starts a steal attempt, before choosing a
+     *  victim; the attempt ends with the returned Span. */
+    [[nodiscard]] Span stealAttempted(int wid);
+
+    /** Attempt @p steal took frame @p t (plus steal-half @p extras). */
+    void taskStolen(Span &steal, Addr t, const std::vector<Addr> &extras);
+
+    /** Task @p idx (frame @p t) starts on worker @p wid. Unless it
+     *  is the inline root (@p dispatched false), it gets a span, closed
+     *  with the returned Span, and its flow arrow's end. */
+    [[nodiscard]] Span taskStarted(Addr t, DagProfiler::Idx idx, int wid,
+                                   bool dispatched = true);
+
+    /** Task @p idx finished on worker @p wid. */
+    void
+    taskFinished(DagProfiler::Idx idx, int wid)
+    {
+        profiler.onTaskDone(idx);
+        if (lifeTracker)
+            lifeTracker->onFinish(idx, sys.core(wid).now());
+    }
+
+    /** Task @p idx returned from wait(): its children joined. */
+    void waitExited(DagProfiler::Idx idx) { profiler.onWaitExit(idx); }
+
+    /** Trace @p owner's deque depth at @p now (functional reads). */
+    void dequeDepth(int owner, Cycle now);
+
+    /** Profiler index in frame @p t's metadata slot (none if unset). */
+    DagProfiler::Idx
+    taskIndex(Addr t)
+    {
+        return static_cast<DagProfiler::Idx>(sys.mem().funcRead<uint64_t>(
+                   t + TaskLayout::profOff)) - 1;
+    }
 
     /** Exactly-once execution check (host-side debug bookkeeping). */
     common::FlatSet<Addr> executedTasks;
@@ -150,6 +240,8 @@ class Runtime
     std::vector<std::unique_ptr<Worker>> workers;
     std::unique_ptr<StealPolicy> policy;
     std::unique_ptr<trace::LifecycleTracker> lifeTracker;
+    trace::Tracer *eventTracer;
+    trace::IntervalSampler *intervalSampler;
     bool ran = false;
 };
 

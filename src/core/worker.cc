@@ -85,62 +85,6 @@ class RacyScope
     bool prev = false;
 };
 
-/**
- * Scoped trace span on the worker's core track: records the begin
- * cycle at construction and emits one complete event covering the
- * region at destruction. Emitting from the destructor means spans
- * close correctly even when a FiberUnwind exception tears the guest
- * stack down mid-region.
- */
-class TraceSpan
-{
-  public:
-    TraceSpan(sim::Core &core, uint32_t cat, const char *name,
-              const char *k0 = nullptr, uint64_t v0 = 0,
-              const char *k1 = nullptr, uint64_t v1 = 0)
-        : core(core), tr(core.system().tracer()), cat(cat), name(name),
-          k0(k0), k1(k1), v0(v0), v1(v1), t0(core.now())
-    {}
-    ~TraceSpan()
-    {
-        if (BT_TRACE_ON(tr, cat))
-            tr->complete(cat, core.id(), t0, core.now(), name, k0, v0,
-                         k1, v1);
-    }
-    TraceSpan(const TraceSpan &) = delete;
-    TraceSpan &operator=(const TraceSpan &) = delete;
-
-    /** Update the second argument (e.g. a steal's outcome). */
-    void setArg1(uint64_t v) { v1 = v; }
-
-  private:
-    sim::Core &core;
-    trace::Tracer *tr;
-    uint32_t cat;
-    const char *name;
-    const char *k0;
-    const char *k1;
-    uint64_t v0;
-    uint64_t v1;
-    Cycle t0;
-};
-
-/**
- * Sample the deque-depth counter for @p owner's deque on its track.
- * Reads the cursor words functionally (zero simulated time), so the
- * sample cannot perturb the model.
- */
-void
-traceDequeDepth(Runtime &rt, int owner, Cycle at)
-{
-    trace::Tracer *tr = rt.sys.tracer();
-    if (!BT_TRACE_ON(tr, trace::CatTask))
-        return;
-    TaskDeque &q = rt.deque(owner);
-    auto head = rt.sys.mem().funcRead<uint64_t>(q.headAddr());
-    auto tail = rt.sys.mem().funcRead<uint64_t>(q.tailAddr());
-    tr->counter(trace::CatTask, owner, at, "deque-depth", tail - head);
-}
 } // namespace
 
 Worker::Worker(Runtime &rt, Core &core, int wid)
@@ -166,7 +110,7 @@ Worker::newTask(TaskFn fn, std::initializer_list<uint64_t> args)
     accrue();
     SiteScope site(rt.sys.mem().checker(), wid, "Worker::newTask");
     Addr t = rt.allocTaskFrame();
-    DagProfiler::Idx prof = rt.profiler.newTask(curProf);
+    DagProfiler::Idx prof = rt.taskCreated(curProf);
     // Architectural initialization: these stores flow through the
     // simulated caches like any user data (fresh frames are zero, so
     // rc/has_stolen_child need no explicit store).
@@ -180,8 +124,6 @@ Worker::newTask(TaskFn fn, std::initializer_list<uint64_t> args)
     // Profiler index is metadata, not architectural state.
     rt.sys.mem().funcWrite<uint64_t>(t + L::profOff,
                                      static_cast<uint64_t>(prof + 1));
-    if (auto *lt = rt.lifecycle(); BT_LIFE_ON(lt))
-        lt->onCreate(t, wid, core.now());
     return t;
 }
 
@@ -257,8 +199,7 @@ Worker::execTask(Addr t)
     Addr saved_task = curTask;
     DagProfiler::Idx saved_prof = curProf;
     curTask = t;
-    curProf = static_cast<DagProfiler::Idx>(
-                  rt.sys.mem().funcRead<uint64_t>(t + L::profOff)) - 1;
+    curProf = rt.taskIndex(t);
     lastInst = core.instCount();
 
     // Runtime invariant: every task executes exactly once (host-side
@@ -270,12 +211,7 @@ Worker::execTask(Addr t)
                           "cycle %llu)",
                           (unsigned long long)t, wid,
                           (unsigned long long)core.now()));
-    TraceSpan span(core, trace::CatTask, "task", "frame", t);
-    if (BT_TRACE_ON(rt.sys.tracer(), trace::CatFlow))
-        rt.sys.tracer()->flow(trace::CatFlow, core.id(), core.now(),
-                              'f', "task-flow", t);
-    if (auto *lt = rt.lifecycle(); BT_LIFE_ON(lt))
-        lt->onStart(t, wid, core.now());
+    Runtime::Span span = rt.taskStarted(t, curProf, wid);
     uint64_t fn_bits = core.ld<uint64_t>(t + L::fnOff);
     core.work(dispatchCycles);
     if (!fn_bits)
@@ -305,9 +241,7 @@ Worker::execTask(Addr t)
     }
 
     accrue();
-    rt.profiler.onTaskDone(curProf);
-    if (auto *lt = rt.lifecycle(); BT_LIFE_ON(lt))
-        lt->onFinish(t, wid, core.now());
+    rt.taskFinished(curProf, wid);
     ++stats.tasksExecuted;
     curTask = saved_task;
     curProf = saved_prof;
@@ -396,15 +330,7 @@ Worker::spawn(Addr t)
         core.work(1, TimeCat::Sync);
         break;
     }
-    if (BT_TRACE_ON(rt.sys.tracer(), trace::CatTask))
-        rt.sys.tracer()->instant(trace::CatTask, core.id(), core.now(),
-                                 "spawn", "frame", t);
-    if (BT_TRACE_ON(rt.sys.tracer(), trace::CatFlow))
-        rt.sys.tracer()->flow(trace::CatFlow, core.id(), core.now(),
-                              's', "task-flow", t);
-    if (auto *lt = rt.lifecycle(); BT_LIFE_ON(lt))
-        lt->onEnqueue(t, wid, core.now());
-    traceDequeDepth(rt, wid, core.now());
+    rt.taskEnqueued(t, wid);
 }
 
 void
@@ -449,7 +375,7 @@ Worker::wait()
     }
     accrue();
     curProf = saved;
-    rt.profiler.onWaitExit(curProf);
+    rt.waitExited(curProf);
 }
 
 void
@@ -461,7 +387,7 @@ Worker::waitBaseline(Addr p)
         Addr t = q.deqTail(core);
         q.lockRl(core);
         if (t) {
-            traceDequeDepth(rt, wid, core.now());
+            rt.dequeDepth(wid, core.now());
             failStreak = 0;
             takenRemotely(t); // host bookkeeping only under MESI
             execTask(t);
@@ -484,7 +410,7 @@ Worker::waitHcc(Addr p)
         core.cacheFlush();
         q.lockRl(core);
         if (t) {
-            traceDequeDepth(rt, wid, core.now());
+            rt.dequeDepth(wid, core.now());
             failStreak = 0;
             bool remote = takenRemotely(t);
             execTask(t);
@@ -513,7 +439,7 @@ Worker::waitDts(Addr p)
         core.uliEnable();
         core.work(1, TimeCat::Sync);
         if (t) {
-            traceDequeDepth(rt, wid, core.now());
+            rt.dequeDepth(wid, core.now());
             failStreak = 0;
             execTask(t);
             joinDtsLocal(t);
@@ -553,13 +479,13 @@ Worker::stealOnce()
 {
     SiteScope site(rt.sys.mem().checker(), wid, "Worker::stealOnce");
     ++stats.stealAttempts;
+    Runtime::Span steal = rt.stealAttempted(wid);
     int vid = chooseVictim();
     if (vid < 0) {
         ++stats.failedSteals;
         return false;
     }
-    TraceSpan span(core, trace::CatSteal, "steal", "victim",
-                   static_cast<uint64_t>(vid), "got", 0);
+    steal.chose(vid);
     switch (rt.variant) {
       case SchedVariant::Baseline: {
         TaskDeque &vq = rt.deque(vid);
@@ -573,12 +499,11 @@ Worker::stealOnce()
         vq.lockRl(core);
         if (!t)
             break;
-        traceDequeDepth(rt, vid, core.now());
+        rt.dequeDepth(vid, core.now());
         ++stats.tasksStolen;
         failStreak = 0;
-        span.setArg1(1);
         rt.stealPolicy().onStealOutcome(rt, wid, vid, true);
-        noteStolen(t, extras, vid);
+        rt.taskStolen(steal, t, extras);
         if (!extras.empty())
             transferStolen(extras);
         execTask(t);
@@ -614,12 +539,11 @@ Worker::stealOnce()
         vq.lockRl(core);
         if (!t)
             break;
-        traceDequeDepth(rt, vid, core.now());
+        rt.dequeDepth(vid, core.now());
         ++stats.tasksStolen;
         failStreak = 0;
-        span.setArg1(1);
         rt.stealPolicy().onStealOutcome(rt, wid, vid, true);
-        noteStolen(t, extras, vid);
+        rt.taskStolen(steal, t, extras);
         if (!extras.empty())
             transferStolen(extras);
         if (!elide)
@@ -639,9 +563,8 @@ Worker::stealOnce()
             break;
         ++stats.tasksStolen;
         failStreak = 0;
-        span.setArg1(1);
         rt.stealPolicy().onStealOutcome(rt, wid, vid, true);
-        noteStolen(t, {}, vid);
+        rt.taskStolen(steal, t, {});
         core.cacheInvalidate();
         execTask(t);
         core.cacheFlush();
@@ -704,25 +627,7 @@ Worker::transferStolen(const std::vector<Addr> &tasks)
     for (Addr t : tasks)
         remoteTasks.insert(t);
     stats.tasksStolen += tasks.size();
-    traceDequeDepth(rt, wid, core.now());
-}
-
-void
-Worker::noteStolen(Addr t, const std::vector<Addr> &extras, int vid)
-{
-    if (auto *lt = rt.lifecycle(); BT_LIFE_ON(lt)) {
-        lt->onSteal(t, vid, wid, core.now());
-        for (Addr e : extras)
-            lt->onSteal(e, vid, wid, core.now());
-    }
-    trace::Tracer *tr = rt.sys.tracer();
-    if (BT_TRACE_ON(tr, trace::CatFlow)) {
-        tr->flow(trace::CatFlow, core.id(), core.now(), 't',
-                 "task-flow", t);
-        for (Addr e : extras)
-            tr->flow(trace::CatFlow, core.id(), core.now(), 't',
-                     "task-flow", e);
-    }
+    rt.dequeDepth(wid, core.now());
 }
 
 bool
@@ -748,7 +653,7 @@ Worker::uliHandler(CoreId thief)
         core.uliSendResp(thief, true, 0);
         return;
     }
-    traceDequeDepth(rt, wid, core.now());
+    rt.dequeDepth(wid, core.now());
     auto &inj = core.system().injector();
     Addr parent = core.ld<uint64_t>(t + L::parentOff);
     if (parent) {
@@ -808,13 +713,10 @@ Worker::guestMain(const std::function<void(Worker &)> *root)
         panic_if(!rt.executedTasks.insert(t),
                  "root task %#llx executed twice (worker %d)",
                  (unsigned long long)t, wid);
-        if (auto *lt = rt.lifecycle(); BT_LIFE_ON(lt))
-            lt->onStart(t, wid, core.now());
+        Runtime::Span span = rt.taskStarted(t, curProf, wid, false);
         (*root)(*this);
         accrue();
-        rt.profiler.onTaskDone(curProf);
-        if (auto *lt = rt.lifecycle(); BT_LIFE_ON(lt))
-            lt->onFinish(t, wid, core.now());
+        rt.taskFinished(curProf, wid);
         curTask = 0;
         curProf = DagProfiler::none;
         // Publish any remaining results, then signal completion.
@@ -871,7 +773,7 @@ Worker::popOwnTask()
     }
     if (!t)
         return false;
-    traceDequeDepth(rt, wid, core.now());
+    rt.dequeDepth(wid, core.now());
     failStreak = 0;
     bool remote = takenRemotely(t);
     execTask(t);

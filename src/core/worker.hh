@@ -157,10 +157,6 @@ class Worker
     /** Enqueue batch-stolen tasks onto the own deque. */
     void transferStolen(const std::vector<Addr> &tasks);
 
-    /** Lifecycle + flow bookkeeping for a successful steal of @p t
-     *  (plus batch @p extras) from victim @p vid. Host-side only. */
-    void noteStolen(Addr t, const std::vector<Addr> &extras, int vid);
-
     /** Consume the batch-stolen mark of @p t (remote parent). */
     bool takenRemotely(Addr t);
 

@@ -113,17 +113,6 @@ class System
      */
     std::function<void(Cycle)> progressHook;
 
-    /**
-     * Installed by rt::Runtime (cleared in its destructor): fills the
-     * vectors with cumulative per-cluster steal-attempt and
-     * steal-success counts, indexed by the thief's cluster. The
-     * interval sampler calls it per snapshot to emit per-cluster
-     * steal columns; null for serial runs (the columns are omitted).
-     */
-    std::function<void(std::vector<uint64_t> &,
-                       std::vector<uint64_t> &)>
-        stealSampleHook;
-
   private:
     friend class Core;
 

@@ -79,19 +79,6 @@ writeCacheStats(std::ostream &os, const sim::CacheStats &c)
 }
 
 void
-writeTimeByCat(std::ostream &os,
-               const std::array<Cycle, sim::numTimeCats> &t)
-{
-    os << "{";
-    for (size_t i = 0; i < sim::numTimeCats; ++i) {
-        os << (i ? "," : "") << "\""
-           << sim::timeCatName(static_cast<sim::TimeCat>(i))
-           << "\":" << t[i];
-    }
-    os << "}";
-}
-
-void
 writeLatencyHist(std::ostream &os, const LatencyHist &h)
 {
     os << "{\"count\":" << h.count << ",\"sum\":" << h.sum
@@ -227,7 +214,7 @@ writeRunStatsJson(std::ostream &os, sim::System &sys, rt::Runtime *rt,
     os << "\"tinyCores\": {\"cache\":";
     writeCacheStats(os, cache);
     os << ",\"time\":";
-    writeTimeByCat(os, cores.timeByCat);
+    writeNamedCounts(os, cores.timeByCat, sim::timeCatName);
     os << ",\"memOps\":" << cores.memOps << "},\n";
 
     auto &l2 = sys.mem().l2();
@@ -242,19 +229,11 @@ writeRunStatsJson(std::ostream &os, sim::System &sys, rt::Runtime *rt,
     const auto &noc = sys.mem().noc().stats();
     os << "\"noc\": {\"totalBytes\":" << noc.totalBytes()
        << ",\"hopTraversals\":" << noc.hopTraversals
-       << ",\"msgs\":{";
-    for (size_t i = 0; i < sim::numMsgClasses; ++i) {
-        os << (i ? "," : "") << "\""
-           << sim::msgClassName(static_cast<sim::MsgClass>(i))
-           << "\":" << noc.msgs[i];
-    }
-    os << "},\"bytes\":{";
-    for (size_t i = 0; i < sim::numMsgClasses; ++i) {
-        os << (i ? "," : "") << "\""
-           << sim::msgClassName(static_cast<sim::MsgClass>(i))
-           << "\":" << noc.bytes[i];
-    }
-    os << "}},\n";
+       << ",\"msgs\":";
+    writeNamedCounts(os, noc.msgs, sim::msgClassName);
+    os << ",\"bytes\":";
+    writeNamedCounts(os, noc.bytes, sim::msgClassName);
+    os << "},\n";
 
     const auto &u = sys.uliNet().stats;
     os << "\"uli\": {\"reqs\":" << u.reqs << ",\"acks\":" << u.acks
@@ -272,7 +251,7 @@ writeRunStatsJson(std::ostream &os, sim::System &sys, rt::Runtime *rt,
             os << ",\"cluster\":" << cfg.clusterOf(c);
         os << ",\"cycles\":" << core.now()
            << ",\"insts\":" << core.instCount() << ",\"time\":";
-        writeTimeByCat(os, core.stats.timeByCat);
+        writeNamedCounts(os, core.stats.timeByCat, sim::timeCatName);
         os << ",\"cache\":";
         writeCacheStats(os, sys.mem().l1(c).stats);
         os << "}" << (c + 1 < sys.numCores() ? ",\n" : "\n");

@@ -20,6 +20,8 @@
 #ifndef BIGTINY_TRACE_EXPORTER_HH
 #define BIGTINY_TRACE_EXPORTER_HH
 
+#include <array>
+#include <cstdint>
 #include <ostream>
 #include <string>
 
@@ -56,6 +58,20 @@ std::string jsonEscape(const std::string &s);
 
 /** Write a finite double (%.10g), or null for NaN/Inf. */
 void jsonNumber(std::ostream &os, double v);
+
+/** Write {"<name(i)>":v[i],...} for a counter array indexed by the
+ *  enum @p E (time categories, NoC message classes). */
+template <typename E, size_t N>
+void
+writeNamedCounts(std::ostream &os, const std::array<uint64_t, N> &v,
+                 const char *(*name)(E))
+{
+    os << "{";
+    for (size_t i = 0; i < N; ++i)
+        os << (i ? "," : "") << "\"" << name(static_cast<E>(i))
+           << "\":" << v[i];
+    os << "}";
+}
 
 /**
  * Serialize the full statistics tree of a finished (or failed) run.

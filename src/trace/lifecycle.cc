@@ -1,5 +1,7 @@
 #include "trace/lifecycle.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 
 namespace bigtiny::trace
@@ -24,84 +26,33 @@ LatencyHist::percentile(uint64_t num, uint64_t den) const
     return maxV;
 }
 
-LifecycleTracker::LifecycleTracker(int num_clusters,
-                                   std::vector<int> cluster_of_core)
-    : numCl(num_clusters), clusterOf(std::move(cluster_of_core)),
+LifecycleTracker::LifecycleTracker(int num_clusters)
+    : numCl(num_clusters),
       heatmap(static_cast<size_t>(num_clusters) * num_clusters, 0)
 {
     panic_if(num_clusters < 1, "LifecycleTracker with %d clusters",
              num_clusters);
 }
 
-LifecycleTracker::TaskRec &
-LifecycleTracker::rec(Addr t)
+void
+LifecycleTracker::onFinish(uint64_t task, Cycle now)
 {
-    uint32_t &slot = index[t];
-    if (!slot) {
-        recs.emplace_back();
-        recs.back().frame = t;
-        slot = static_cast<uint32_t>(recs.size());
-    }
-    return recs[slot - 1];
+    TaskRec *r = rec(task);
+    if (!r)
+        return;
+    if (r->enqueued != noCycle)
+        sojournH.add(now - r->enqueued);
+    execH.add(now - r->started);
 }
 
 void
-LifecycleTracker::onCreate(Addr t, int core, Cycle now)
+LifecycleTracker::onSteal(int src, int dst)
 {
-    TaskRec &r = rec(t);
-    if (r.created == noCycle) {
-        r.created = now;
-        r.spawnCore = core;
-    }
-}
-
-void
-LifecycleTracker::onEnqueue(Addr t, int core, Cycle now)
-{
-    TaskRec &r = rec(t);
-    if (r.enqueued == noCycle) {
-        r.enqueued = now;
-        if (r.spawnCore < 0)
-            r.spawnCore = core;
-    }
-}
-
-void
-LifecycleTracker::onSteal(Addr t, int victim, int thief, Cycle now)
-{
-    (void)now;
-    ++rec(t).steals;
-    int src = clusterOf[static_cast<size_t>(victim)];
-    int dst = clusterOf[static_cast<size_t>(thief)];
     ++heatmap[static_cast<size_t>(src) * numCl + dst];
     if (src == dst)
         ++localSteals;
     else
         ++remoteSteals;
-}
-
-void
-LifecycleTracker::onStart(Addr t, int core, Cycle now)
-{
-    TaskRec &r = rec(t);
-    if (r.started == noCycle) {
-        r.started = now;
-        r.execCore = core;
-    }
-}
-
-void
-LifecycleTracker::onFinish(Addr t, int core, Cycle now)
-{
-    (void)core;
-    TaskRec &r = rec(t);
-    if (r.finished != noCycle)
-        return;
-    r.finished = now;
-    if (r.enqueued != noCycle)
-        sojournH.add(now - r.enqueued);
-    if (r.started != noCycle)
-        execH.add(now - r.started);
 }
 
 } // namespace bigtiny::trace

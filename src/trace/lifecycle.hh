@@ -2,10 +2,9 @@
  * @file
  * Deterministic task-lifecycle observability (DESIGN.md §16).
  *
- * The LifecycleTracker stamps every task's lifecycle — created
- * (newTask), enqueued (spawn), stolen (0..n hops), started and
- * finished (execTask) — with the core and simulated cycle of each
- * event, and folds the timestamps into three aggregate views:
+ * The LifecycleTracker stamps every task's lifecycle — enqueued
+ * (spawn), stolen (0..n hops), started and finished (execTask) — with
+ * the simulated cycle or cores of each event, and folds them into:
  *
  *  - exact log2-bucketed latency histograms of task *sojourn* time
  *    (enqueue -> finish: how long work waits plus runs) and task
@@ -14,8 +13,7 @@
  *    task's own wait()s);
  *  - a per-(src-cluster x dst-cluster) steal-distance heatmap over
  *    the generalized sim::Topology, split into local (intra-cluster)
- *    and remote (cross-cluster) totals;
- *  - per-task records (creation order) for offline analysis.
+ *    and remote (cross-cluster) totals.
  *
  * Everything is integer arithmetic over simulated timestamps — no
  * floating-point accumulation — so the aggregates are byte-identical
@@ -24,31 +22,25 @@
  * charges simulated cycles, so enabling it cannot perturb the model
  * (cycle counts are identical with tracking on and off).
  *
- * Hot-path guard: call sites hold a LifecycleTracker pointer (null
- * when SystemConfig::trackLifecycle is false) and test
- * BT_LIFE_ON(lt) — mirroring BT_TRACE_ON — before recording.
- * Compiling with BIGTINY_LIFECYCLE_DISABLED turns the guard into a
- * constant false so the emission paths dead-strip.
+ * The only caller is rt::Runtime's task-event fan-out, behind one
+ * null check (the tracker exists only when
+ * SystemConfig::trackLifecycle is set). Per-task records are indexed
+ * by the DAG profiler's task index: the fan-out creates both in the
+ * same event, in the same order.
  */
 
 #ifndef BIGTINY_TRACE_LIFECYCLE_HH
 #define BIGTINY_TRACE_LIFECYCLE_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "common/flat_hash.hh"
 #include "common/types.hh"
 
 namespace bigtiny::trace
 {
-
-#ifndef BIGTINY_LIFECYCLE_DISABLED
-#define BT_LIFE_ON(lt) ((lt) != nullptr)
-#else
-#define BT_LIFE_ON(lt) false
-#endif
 
 /**
  * Exact log2-bucketed latency histogram. Bucket 0 holds the value 0;
@@ -110,34 +102,41 @@ struct LatencyHist
 class LifecycleTracker
 {
   public:
-    /** One task's stamped lifecycle; cycles are noCycle until the
-     *  corresponding event happened. */
-    struct TaskRec
-    {
-        Addr frame = 0;
-        Cycle created = noCycle;
-        Cycle enqueued = noCycle;
-        Cycle started = noCycle;
-        Cycle finished = noCycle;
-        int32_t spawnCore = -1; //!< core that created the task
-        int32_t execCore = -1;  //!< core that executed it
-        uint32_t steals = 0;    //!< times it changed cores pre-exec
-    };
-
     static constexpr Cycle noCycle = ~Cycle(0);
 
-    /**
-     * @param num_clusters cluster count of the topology (>= 1);
-     * @param cluster_of_core cluster id per core id.
-     */
-    LifecycleTracker(int num_clusters,
-                     std::vector<int> cluster_of_core);
+    /** @param num_clusters cluster count of the topology (>= 1). */
+    explicit LifecycleTracker(int num_clusters);
 
-    void onCreate(Addr t, int core, Cycle now);
-    void onEnqueue(Addr t, int core, Cycle now);
-    void onSteal(Addr t, int victim, int thief, Cycle now);
-    void onStart(Addr t, int core, Cycle now);
-    void onFinish(Addr t, int core, Cycle now);
+    /** A task is created; its record index is numTasks() before the
+     *  call. */
+    void onCreate() { recs.emplace_back(); }
+
+    /**
+     * Events of the task with record index @p task. An index no
+     * onCreate produced (a corrupt frame read under fault injection)
+     * records nothing.
+     * @{
+     */
+    void
+    onEnqueue(uint64_t task, Cycle now)
+    {
+        if (TaskRec *r = rec(task))
+            r->enqueued = now;
+    }
+
+    void
+    onStart(uint64_t task, Cycle now)
+    {
+        if (TaskRec *r = rec(task))
+            r->started = now;
+    }
+
+    void onFinish(uint64_t task, Cycle now);
+    /** @} */
+
+    /** A task moved from a core in cluster @p src (the victim) to
+     *  one in cluster @p dst (the thief). */
+    void onSteal(int src, int dst);
 
     /** Enqueue -> finish latency over all finished, enqueued tasks
      *  (the root runs inline and is never enqueued). */
@@ -165,15 +164,21 @@ class LifecycleTracker
     /** Row-major (src x dst) steal matrix, numClusters^2 entries. */
     const std::vector<uint64_t> &matrix() const { return heatmap; }
 
-    /** Per-task records in creation order (deterministic). */
-    const std::vector<TaskRec> &records() const { return recs; }
-
   private:
-    TaskRec &rec(Addr t);
+    /** One task's cycles (the runtime executes each task once). */
+    struct TaskRec
+    {
+        Cycle enqueued = noCycle; //!< stays noCycle for the inline root
+        Cycle started = 0;
+    };
+
+    TaskRec *
+    rec(uint64_t task)
+    {
+        return task < recs.size() ? &recs[task] : nullptr;
+    }
 
     int numCl;
-    std::vector<int> clusterOf;
-    common::FlatMap<Addr, uint32_t> index; //!< frame -> rec idx + 1
     std::vector<TaskRec> recs;
     LatencyHist sojournH;
     LatencyHist execH;

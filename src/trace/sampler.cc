@@ -2,6 +2,7 @@
 
 #include "common/log.hh"
 #include "sim/system.hh"
+#include "trace/exporter.hh"
 
 namespace bigtiny::trace
 {
@@ -37,8 +38,6 @@ snapshot(sim::System &sys, Cycle at)
     s.uliReqs = uli.reqs;
     s.uliNacks = uli.nacks;
     s.uliHandlerCycles = uli.handlerCycles;
-    if (sys.stealSampleHook)
-        sys.stealSampleHook(s.clStealAtt, s.clStealOk);
     return s;
 }
 
@@ -58,12 +57,6 @@ delta(const Sample &cum, const Sample &prev)
     d.uliReqs -= prev.uliReqs;
     d.uliNacks -= prev.uliNacks;
     d.uliHandlerCycles -= prev.uliHandlerCycles;
-    // The first interval's prev is the default Sample (empty vectors
-    // = all-zero cumulative counts).
-    for (size_t i = 0; i < prev.clStealAtt.size(); ++i)
-        d.clStealAtt[i] -= prev.clStealAtt[i];
-    for (size_t i = 0; i < prev.clStealOk.size(); ++i)
-        d.clStealOk[i] -= prev.clStealOk[i];
     return d;
 }
 
@@ -79,7 +72,10 @@ void
 IntervalSampler::capture(sim::System &sys, Cycle at)
 {
     Sample cum = snapshot(sys, at);
-    rows.push_back(delta(cum, prev));
+    Sample &row = rows.emplace_back(delta(cum, prev));
+    row.clStealAtt.swap(stealAtt); // the next interval starts at zero
+    row.clStealOk.swap(stealOk);
+    trackStealClusters(static_cast<int>(row.clStealAtt.size()));
     prev = cum;
     lastCaptured = at;
 }
@@ -142,19 +138,11 @@ IntervalSampler::writeJson(std::ostream &os) const
            << ",\"l1Accesses\":" << s.l1Accesses
            << ",\"l1Misses\":" << s.l1Misses
            << ",\"invLines\":" << s.invLines
-           << ",\"flushLines\":" << s.flushLines << ",\"time\":{";
-        for (size_t i = 0; i < sim::numTimeCats; ++i) {
-            os << (i ? "," : "") << "\""
-               << sim::timeCatName(static_cast<sim::TimeCat>(i))
-               << "\":" << s.timeByCat[i];
-        }
-        os << "},\"nocBytes\":{";
-        for (size_t i = 0; i < sim::numMsgClasses; ++i) {
-            os << (i ? "," : "") << "\""
-               << sim::msgClassName(static_cast<sim::MsgClass>(i))
-               << "\":" << s.nocBytes[i];
-        }
-        os << "},\"nocMsgs\":" << s.nocMsgs
+           << ",\"flushLines\":" << s.flushLines << ",\"time\":";
+        writeNamedCounts(os, s.timeByCat, sim::timeCatName);
+        os << ",\"nocBytes\":";
+        writeNamedCounts(os, s.nocBytes, sim::msgClassName);
+        os << ",\"nocMsgs\":" << s.nocMsgs
            << ",\"uliReqs\":" << s.uliReqs
            << ",\"uliNacks\":" << s.uliNacks
            << ",\"uliHandlerCycles\":" << s.uliHandlerCycles;

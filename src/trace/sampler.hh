@@ -10,6 +10,8 @@
  * bars into curves over execution. Sampling is host-side only (zero
  * simulated cost) and hooks the deterministic scheduler loop, so the
  * time-series is byte-identical across hosts and --jobs counts.
+ * Parallel runs add per-cluster steal columns, which rt::Runtime's
+ * task-event fan-out feeds (DESIGN.md §9).
  */
 
 #ifndef BIGTINY_TRACE_SAMPLER_HH
@@ -53,9 +55,9 @@ struct Sample
     uint64_t uliNacks = 0;
     Cycle uliHandlerCycles = 0;
 
-    // Per-cluster steal attempts/successes (thief's cluster), via
-    // System::stealSampleHook. Empty for serial runs (no runtime
-    // installed a hook) — the CSV/JSON columns are then omitted.
+    // Per-cluster steal attempts, and attempts minus failures (an
+    // attempt in flight counts until it fails), by thief's cluster.
+    // Empty for serial runs — the CSV/JSON columns are then omitted.
     std::vector<uint64_t> clStealAtt;
     std::vector<uint64_t> clStealOk;
 };
@@ -79,6 +81,18 @@ class IntervalSampler
     /** Record a final partial-interval sample at end of run. */
     void finish(sim::System &sys);
 
+    /** Take per-cluster steal columns; a Runtime's steal-attempt
+     *  event then feeds the two counters below. */
+    void
+    trackStealClusters(int clusters)
+    {
+        stealAtt.assign(static_cast<size_t>(clusters), 0);
+        stealOk.assign(static_cast<size_t>(clusters), 0);
+    }
+
+    void stealAttempted(int c) { ++stealAtt[c], ++stealOk[c]; }
+    void stealFailed(int c) { --stealOk[c]; }
+
     const std::vector<Sample> &samples() const { return rows; }
 
     /** Tab-free CSV with a header row; one line per interval. */
@@ -96,6 +110,8 @@ class IntervalSampler
     Cycle lastCaptured = 0;
     Sample prev; //!< cumulative snapshot at the previous sample
     std::vector<Sample> rows;
+    std::vector<uint64_t> stealAtt; //!< this interval, per cluster
+    std::vector<uint64_t> stealOk;  //!< this interval, mod 2^64
 };
 
 } // namespace bigtiny::trace

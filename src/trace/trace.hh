@@ -21,9 +21,10 @@
  *
  * Hot-path guard: call sites test BT_TRACE_ON(tr, cat) — a null check
  * plus one bitmask AND — before touching the tracer; with tracing off
- * the tracer pointer is null and no events are recorded. Compiling
- * with BIGTINY_TRACE_DISABLED turns the guard into a constant false so
- * the entire emission path is dead-stripped.
+ * the tracer pointer is null and no events are recorded. The task,
+ * steal and flow events of the runtime all come from rt::Runtime's
+ * task-event fan-out (DESIGN.md §9); the memory system, cores, ULI
+ * network and fault injector guard their own single-observer sites.
  */
 
 #ifndef BIGTINY_TRACE_TRACE_HH
@@ -64,11 +65,7 @@ uint32_t parseCategories(const std::string &csv);
 /** Canonical comma-separated rendering of a category mask. */
 std::string categoriesToString(uint32_t mask);
 
-#ifndef BIGTINY_TRACE_DISABLED
 #define BT_TRACE_ON(tr, cat) ((tr) != nullptr && (tr)->wants(cat))
-#else
-#define BT_TRACE_ON(tr, cat) false
-#endif
 
 class Tracer
 {
@@ -82,7 +79,6 @@ class Tracer
 
     bool wants(uint32_t cat) const { return (mask & cat) != 0; }
     uint32_t categories() const { return mask; }
-    int numTracks() const { return static_cast<int>(tracks.size()); }
 
     void setTrackName(int track, std::string name);
 

@@ -2,14 +2,17 @@
  * @file
  * Tests for the tracing/metrics subsystem (src/trace/): category
  * parsing, tracer filtering and JSON determinism, the zero-perturbation
- * guarantee (tracing on/off must not change simulated cycle counts),
- * interval-sampler delta conservation, and the unified stats exporter.
+ * guarantee (no observer — tracer, lifecycle tracker, interval sampler
+ * or progress heartbeat — may change simulated cycle counts),
+ * interval-sampler delta conservation including the per-cluster steal
+ * columns, the heartbeat cadence, and the unified stats exporter.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/worker.hh"
 #include "sim/system.hh"
@@ -62,18 +65,46 @@ fibTask(Worker &w, Addr self)
     w.st<int64_t>(sum, w.ld<int64_t>(x) + w.ld<int64_t>(y));
 }
 
-/** Run fib(9) under @p cfg; returns the elapsed cycle count. */
-Cycle
-runFib(System &sys)
+/** Run fib(@p n) on @p sys with steal policy @p steal ("" for the
+ *  default); returns the runtime's aggregate statistics. */
+sim::RuntimeStats
+runFibStats(System &sys, uint64_t n = 9, const char *steal = "")
 {
     Runtime rt(sys);
+    if (*steal)
+        rt.setStealPolicy(steal);
     Addr result = sys.arena().alloc(8, 8);
     rt.run([&](Worker &w) {
-        Addr t = w.newTask(fibTask, {9, result});
+        Addr t = w.newTask(fibTask, {n, result});
         w.setRefCount(1);
         w.spawn(t);
         w.wait();
     });
+    return rt.totalStats();
+}
+
+/** Run fib(9) under @p cfg; returns the elapsed cycle count. */
+Cycle
+runFib(System &sys)
+{
+    runFibStats(sys);
+    return sys.elapsed();
+}
+
+/** 16 tiny MESI cores in 2x2 clusters: hier stealing batch-steals
+ *  across clusters, so every task-event kind fires. */
+SystemConfig
+clusteredConfig()
+{
+    return sim::configByName("bt-0b16t@4x4/clusters=2x2/proto=mesi");
+}
+
+/** Cycles of fib(11) with hier stealing on @p cfg. */
+Cycle
+clusteredCycles(const SystemConfig &cfg)
+{
+    System sys(cfg);
+    runFibStats(sys, 11, "hier");
     return sys.elapsed();
 }
 
@@ -171,6 +202,29 @@ TEST(TraceIntegration, DisabledTracingHasNoTracerAndSameCycles)
     EXPECT_EQ(traced_cycles, plain_cycles);
 }
 
+TEST(TraceIntegration, EveryObserverLeavesCyclesUnchanged)
+{
+    SystemConfig base = clusteredConfig();
+    Cycle plain = clusteredCycles(base);
+
+    SystemConfig traced = base;
+    traced.traceCategories = trace::CatAll;
+    EXPECT_EQ(clusteredCycles(traced), plain) << "trace";
+
+    SystemConfig life = base;
+    life.trackLifecycle = true;
+    EXPECT_EQ(clusteredCycles(life), plain) << "lifecycle";
+
+    SystemConfig sampled = base;
+    sampled.sampleCycles = 500;
+    EXPECT_EQ(clusteredCycles(sampled), plain) << "time series";
+
+    SystemConfig all = traced;
+    all.trackLifecycle = true;
+    all.sampleCycles = 500;
+    EXPECT_EQ(clusteredCycles(all), plain) << "all observers";
+}
+
 TEST(TraceIntegration, RunEmitsRuntimeAndUliEvents)
 {
     System sys(dtsConfig(trace::CatAll, 0));
@@ -225,6 +279,81 @@ TEST(Sampler, DeltasSumToEndOfRunTotals)
     EXPECT_EQ(misses, cache.misses());
     EXPECT_EQ(uli_reqs, sys.uliNet().stats.reqs);
     EXPECT_EQ(noc_bytes, sys.mem().noc().stats().totalBytes());
+}
+
+TEST(Sampler, ClusterStealColumnsSumToRuntimeTotals)
+{
+    SystemConfig cfg = clusteredConfig();
+    cfg.sampleCycles = 500;
+    System sys(cfg);
+    sim::RuntimeStats rs = runFibStats(sys, 11, "hier");
+    ASSERT_GT(rs.stealAttempts, rs.failedSteals); // some steals landed
+
+    // Columns are per-interval deltas, so they sum (mod 2^64, as an
+    // in-flight attempt counts as ok until it fails) to the totals.
+    uint64_t att = 0, ok = 0;
+    for (const auto &s : sys.sampler()->samples()) {
+        ASSERT_EQ(s.clStealAtt.size(), 4u);
+        ASSERT_EQ(s.clStealOk.size(), 4u);
+        for (size_t c = 0; c < 4; ++c) {
+            att += s.clStealAtt[c];
+            ok += s.clStealOk[c];
+        }
+    }
+    EXPECT_EQ(att, rs.stealAttempts);
+    EXPECT_EQ(ok, rs.stealAttempts - rs.failedSteals);
+
+    std::ostringstream csv;
+    sys.sampler()->writeCsv(csv);
+    std::string header = csv.str().substr(0, csv.str().find('\n'));
+    EXPECT_NE(header.find(",c3_steal_att,c3_steal_ok"),
+              std::string::npos);
+}
+
+TEST(Sampler, SerialRunHasNoStealColumns)
+{
+    SystemConfig cfg = clusteredConfig();
+    cfg.sampleCycles = 200;
+    System sys(cfg);
+    Addr a = sys.arena().alloc(8, 8);
+    sys.attachGuest(0, [&](sim::Core &c) {
+        for (int i = 0; i < 100; ++i)
+            c.st<uint64_t>(a, c.ld<uint64_t>(a) + 1);
+    });
+    sys.run();
+    ASSERT_FALSE(sys.sampler()->samples().empty());
+    for (const auto &s : sys.sampler()->samples())
+        EXPECT_TRUE(s.clStealAtt.empty());
+
+    std::ostringstream csv, json;
+    sys.sampler()->writeCsv(csv);
+    sys.sampler()->writeJson(json);
+    EXPECT_EQ(csv.str().find("steal"), std::string::npos);
+    EXPECT_EQ(json.str().find("Steal"), std::string::npos);
+}
+
+TEST(Heartbeat, FiresOncePerBoundaryWithoutPerturbing)
+{
+    constexpr Cycle every = 2000;
+    SystemConfig cfg = dtsConfig(0, 0);
+    cfg.progressCycles = every;
+    System sys(cfg);
+    std::vector<Cycle> beats;
+    sys.progressHook = [&](Cycle now) { beats.push_back(now); };
+    Cycle end = runFib(sys);
+
+    // One beat per boundary crossed, in order: the i-th beat is the
+    // first check at or past boundary (i + 1) * every. The last
+    // boundary may be crossed by a core's final step, after its last
+    // check, so it can go unreported.
+    ASSERT_FALSE(beats.empty());
+    for (size_t i = 0; i < beats.size(); ++i)
+        EXPECT_EQ(beats[i] / every, i + 1) << "beat " << i;
+    EXPECT_LE(beats.size(), end / every);
+    EXPECT_GE(beats.size() + 1, end / every);
+
+    System plain(dtsConfig(0, 0));
+    EXPECT_EQ(runFib(plain), end);
 }
 
 TEST(Sampler, CsvAndJsonAgreeOnRowCount)
