@@ -134,18 +134,14 @@ Runtime::totalStats() const
 
 Runtime::Span::~Span()
 {
-    bool steal = cat == trace::CatSteal;
-    if (open && BT_TRACE_ON(rt.eventTracer, cat)) {
-        Cycle now = rt.sys.core(wid).now();
-        if (steal)
-            rt.eventTracer->complete(cat, wid, t0, now, "steal",
-                                     "victim", arg, "got", got);
-        else
-            rt.eventTracer->complete(cat, wid, t0, now, "task", "frame",
-                                     arg);
-    }
-    if (steal && !got && rt.intervalSampler)
-        rt.intervalSampler->stealFailed(rt.cfg.clusterOf(wid));
+    if (!open || !BT_TRACE_ON(rt.eventTracer, cat))
+        return;
+    Cycle now = rt.sys.core(wid).now();
+    if (cat == trace::CatSteal)
+        rt.eventTracer->complete(cat, wid, t0, now, "steal", "victim", arg,
+                                 "got", got);
+    else
+        rt.eventTracer->complete(cat, wid, t0, now, "task", "frame", arg);
 }
 
 void

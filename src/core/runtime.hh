@@ -125,8 +125,7 @@ class Runtime
     /**
      * A task or steal-attempt trace span, emitted on destruction —
      * also during FiberUnwind, so a steal span closes after the span
-     * of the task it stole. A steal attempt's Span also counts a
-     * failure for the sampler unless taskStolen ran.
+     * of the task it stole.
      */
     class Span
     {
@@ -174,11 +173,20 @@ class Runtime
     void taskEnqueued(Addr t, int wid);
 
     /** Worker @p wid starts a steal attempt, before choosing a
-     *  victim; the attempt ends with the returned Span. */
+     *  victim; the returned Span traces it. */
     [[nodiscard]] Span stealAttempted(int wid);
 
     /** Attempt @p steal took frame @p t (plus steal-half @p extras). */
     void taskStolen(Span &steal, Addr t, const std::vector<Addr> &extras);
+
+    /** Worker @p wid's steal attempt failed (one cut short by a run's
+     *  abort never fails: the sampler keeps counting it ok). */
+    void
+    stealFailed(int wid)
+    {
+        if (intervalSampler)
+            intervalSampler->stealFailed(cfg.clusterOf(wid));
+    }
 
     /** Task @p idx (frame @p t) starts on worker @p wid. Unless it
      *  is the inline root (@p dispatched false), it gets a span, closed
@@ -201,12 +209,15 @@ class Runtime
     /** Trace @p owner's deque depth at @p now (functional reads). */
     void dequeDepth(int owner, Cycle now);
 
-    /** Profiler index in frame @p t's metadata slot (none if unset). */
+    /** Profiler index in frame @p t's metadata slot (none if unset),
+     *  read from backing memory: only newTask's funcWrite sets the
+     *  slot, and funcWrite updates backing memory and every copy. */
     DagProfiler::Idx
     taskIndex(Addr t)
     {
-        return static_cast<DagProfiler::Idx>(sys.mem().funcRead<uint64_t>(
-                   t + TaskLayout::profOff)) - 1;
+        uint64_t slot = 0;
+        sys.mem().mainMemory().read(t + TaskLayout::profOff, &slot, 8);
+        return static_cast<DagProfiler::Idx>(slot) - 1;
     }
 
     /** Exactly-once execution check (host-side debug bookkeeping). */

@@ -483,6 +483,7 @@ Worker::stealOnce()
     int vid = chooseVictim();
     if (vid < 0) {
         ++stats.failedSteals;
+        rt.stealFailed(wid);
         return false;
     }
     steal.chose(vid);
@@ -575,6 +576,7 @@ Worker::stealOnce()
     }
     rt.stealPolicy().onStealOutcome(rt, wid, vid, false);
     ++stats.failedSteals;
+    rt.stealFailed(wid);
     return false;
 }
 

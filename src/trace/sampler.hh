@@ -67,8 +67,6 @@ class IntervalSampler
   public:
     explicit IntervalSampler(Cycle interval);
 
-    Cycle interval() const { return period; }
-
     /** Next cycle boundary a sample is due at. */
     Cycle nextDue() const { return next; }
 

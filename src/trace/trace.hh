@@ -78,7 +78,6 @@ class Tracer
     Tracer(int num_tracks, uint32_t mask);
 
     bool wants(uint32_t cat) const { return (mask & cat) != 0; }
-    uint32_t categories() const { return mask; }
 
     void setTrackName(int track, std::string name);
 
